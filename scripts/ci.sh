@@ -13,6 +13,11 @@ cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+# The repository benchmark (perfbench/, a package of its own) calls the
+# predictor and lab APIs directly; its self-test keeps it building and
+# deterministic against the current tree.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # The opt-in per-stage host profiler must keep compiling and passing.
 cargo test -p straight-tests --features stage-profile -q --test stage_profile
 
@@ -53,6 +58,16 @@ target/release/straight-lab --normalize tests/golden/BENCH_fig11_quick.json \
 target/release/straight-lab --normalize "$SMOKE_DIR/golden-live/BENCH_fig11.json" \
     > "$SMOKE_DIR/golden-live.norm"
 cmp "$SMOKE_DIR/golden.norm" "$SMOKE_DIR/golden-live.norm"
+
+# The same gate for fig14, the only figure whose cells run the TAGE
+# predictor (fig11 is gshare-only).
+STRAIGHT_GIT_REV=golden target/release/straight-lab --figure fig14 --quick \
+    --quiet --out "$SMOKE_DIR/golden-live"
+target/release/straight-lab --normalize tests/golden/BENCH_fig14_quick.json \
+    > "$SMOKE_DIR/golden14.norm"
+target/release/straight-lab --normalize "$SMOKE_DIR/golden-live/BENCH_fig14.json" \
+    > "$SMOKE_DIR/golden14-live.norm"
+cmp "$SMOKE_DIR/golden14.norm" "$SMOKE_DIR/golden14-live.norm"
 
 # Fast-tier gate: the instruction-mix figure run on the fast
 # (decoded-trace) emulator tier in lockstep mode — cross-checked
