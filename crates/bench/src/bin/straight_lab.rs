@@ -54,7 +54,8 @@ OPTIONS:
     --no-write           Render reports without writing JSON records
     --quiet              Suppress the text reports (records still written)
     --profile            Print a host-side throughput table (per pipeline
-                         cell: simulated cycles, sim wall time, kcycles/s)
+                         cell: simulated cycles, sim wall time, kcycles/s,
+                         retired kinst/s)
     --help               This text
 
 ENVIRONMENT:
@@ -241,26 +242,34 @@ fn normalize(paths: &[PathBuf]) -> ExitCode {
 /// with the simulation's wall time and throughput, then totals over
 /// the *unique* simulations (cells sharing a config fingerprint share
 /// one cached run, so their times are the same measurement).
+/// KINST/S (retired instructions per host second) compares across
+/// model changes; KCYC/S only within one model, since a change that
+/// removes simulated cycles lowers it.
 fn print_profile(runs: &[LabRun]) {
     println!();
-    println!("{:<44} {:>12} {:>10} {:>10}", "PROFILE (pipeline cells)", "CYCLES", "SIM ms", "KCYC/S");
+    println!(
+        "{:<44} {:>12} {:>10} {:>10} {:>10}",
+        "PROFILE (pipeline cells)", "CYCLES", "SIM ms", "KCYC/S", "KINST/S"
+    );
+    let per_ms = |n: u64, ms: f64| if ms > 0.0 { n as f64 / ms } else { 0.0 };
     let mut seen = std::collections::BTreeSet::new();
-    let mut total_cycles = 0u64;
-    let mut total_ms = 0.0f64;
+    let (mut total_cycles, mut total_retired, mut total_ms) = (0u64, 0u64, 0.0f64);
     for cell in runs.iter().flat_map(|r| &r.result.cells) {
         let Some(sim_ms) = cell.sim_wall_ms else { continue };
         let kcps = cell.ksim_cycles_per_sec.unwrap_or(0.0);
         let cached = !seen.insert(cell.config_fingerprint.clone());
         if !cached {
             total_cycles += cell.cycles;
+            total_retired += cell.retired;
             total_ms += sim_ms;
         }
         println!(
-            "{:<44} {:>12} {:>10.1} {:>10.0}{}",
+            "{:<44} {:>12} {:>10.1} {:>10.0} {:>10.0}{}",
             cell.id,
             cell.cycles,
             sim_ms,
             kcps,
+            per_ms(cell.retired, sim_ms),
             if cached { "  (cached)" } else { "" }
         );
     }
@@ -269,11 +278,12 @@ fn print_profile(runs: &[LabRun]) {
         return;
     }
     println!(
-        "{:<44} {:>12} {:>10.1} {:>10.0}",
+        "{:<44} {:>12} {:>10.1} {:>10.0} {:>10.0}",
         format!("TOTAL ({} unique simulations)", seen.len()),
         total_cycles,
         total_ms,
-        if total_ms > 0.0 { total_cycles as f64 / total_ms } else { 0.0 }
+        per_ms(total_cycles, total_ms),
+        per_ms(total_retired, total_ms)
     );
 }
 

@@ -83,3 +83,18 @@ fn normalize_rejects_corrupt_files_nonzero() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("INVALID"));
     let _ = std::fs::remove_file(&path);
 }
+
+#[test]
+fn profile_reports_retired_instructions_per_host_second() {
+    let out = straight_lab(&["--figure", "fig13", "--quick", "--quiet", "--no-write", "--profile"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let header = stdout.lines().find(|l| l.starts_with("PROFILE")).expect("a profile table");
+    assert!(header.trim_end().ends_with("KCYC/S    KINST/S"), "{header}");
+    let total = stdout.lines().find(|l| l.starts_with("TOTAL")).expect("a TOTAL row");
+    let columns: Vec<f64> =
+        total.split_whitespace().rev().take(4).map(|c| c.parse().unwrap()).collect();
+    // KINST/S, KCYC/S, SIM ms, CYCLES, read from the right.
+    assert!(columns.iter().all(|&c| c > 0.0), "{total}");
+    assert!(columns[0] < 4.0 * columns[1], "a 4-wide core retires under 4 per cycle: {total}");
+}

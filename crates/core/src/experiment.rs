@@ -37,7 +37,7 @@ pub const EVAL_MAX_DISTANCE: u16 = 31;
 
 /// Schema version stamped into every [`ExperimentResult`]; bump when
 /// the record shape changes incompatibly.
-pub const SCHEMA_VERSION: u32 = 2;
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// The distance limits swept by the §VI-B sensitivity study.
 pub const SENSITIVITY_DISTANCES: [u16; 4] = [1023, 127, 63, 31];

@@ -195,6 +195,20 @@ impl MachineConfig {
     pub fn walk_width(&self) -> u32 {
         self.fetch_width
     }
+
+    /// Fetched instructions the front-end pipe holds between fetch and
+    /// rename.
+    #[must_use]
+    pub fn front_queue_capacity(&self) -> usize {
+        (self.fetch_width * (self.frontend_latency + 2)) as usize
+    }
+
+    /// The most instructions (so also branch predictions) in flight at
+    /// once: a full ROB plus a full front-end pipe.
+    #[must_use]
+    pub fn max_in_flight(&self) -> usize {
+        self.rob_capacity as usize + self.front_queue_capacity()
+    }
 }
 
 #[cfg(test)]

@@ -96,6 +96,8 @@ struct FrontEntry {
     predicted_next: u32,
     pred_taken: bool,
     ras_cp: RasCheckpoint,
+    /// The direction predictor's history position at fetch.
+    hist_pos: u64,
 }
 
 /// The hazard sanitizer's oracle: a shadow functional emulator stepped
@@ -141,6 +143,10 @@ pub struct Core {
     mem: Vec<u8>,
     hier: Hierarchy,
     bp: Box<dyn DirectionPredictor>,
+    /// An in-order twin of `bp` fed the retired branch stream: the
+    /// reference for `bp`'s mispredict rate
+    /// ([`SimStats::replay_mispredicts`]).
+    replay_bp: Box<dyn DirectionPredictor>,
     ras: Ras,
     memdep: StoreSets,
     prf: Vec<u32>,
@@ -254,7 +260,8 @@ impl Core {
         let placeholder = UOp::trap(0, TrapKind::FetchFault, 0, 0);
         let rob = RobSlab::new(cfg.rob_capacity as usize, placeholder);
         Ok(Core {
-            bp: build(cfg.predictor),
+            bp: build(cfg.predictor, cfg.max_in_flight()),
+            replay_bp: build(cfg.predictor, 1),
             hier: Hierarchy::new(cfg.hierarchy),
             div_busy_until: vec![0; cfg.units.div as usize],
             sched: Scheduler::new(phys, rob.slot_capacity()),
@@ -594,6 +601,7 @@ impl Core {
         let uop = self.rob.uop[hs];
         let actual_taken = self.rob.actual_taken[hs];
         let pred_taken = self.rob.pred_taken[hs];
+        let hist_pos = self.rob.hist_pos[hs];
         self.rob.pop_front();
         if self.cfg.sanitizer {
             if let Some(kind) = self.sanitize_retire(&uop) {
@@ -603,9 +611,26 @@ impl Core {
         }
         self.stats.bump_kind_idx(uop.kind);
         self.stats.events.rob_commits += 1;
-        // Predictor training happens in order at retire.
+        // Predictor training happens in order at retire, and the
+        // branch statistics count the retired path only (wrong-path
+        // recoveries show in `squashed`).
         if uop.is_cond_branch() {
+            debug_assert!(
+                self.bp.predicted_with_retired_history(hist_pos),
+                "branch at {:#x} was predicted with a history other than the retired one",
+                uop.pc
+            );
             self.bp.update(uop.pc, actual_taken, pred_taken);
+            self.stats.branches += 1;
+            if actual_taken != pred_taken {
+                self.stats.branch_mispredicts += 1;
+            }
+            let replayed = self.replay_bp.predict(uop.pc);
+            self.replay_bp.update(uop.pc, actual_taken, replayed);
+            if replayed != actual_taken {
+                self.stats.replay_mispredicts += 1;
+                self.replay_bp.recover();
+            }
         }
         if uop.is_store() {
             if let Some(e) = self.lsq.stores.remove(seq) {
@@ -726,18 +751,14 @@ impl Core {
             }
             let predicted_next = self.rob.predicted_next[slot];
             let cp = self.rob.ras_cp[slot];
-            if uop.is_control() {
-                if uop.is_cond_branch() {
-                    self.stats.branches += 1;
-                }
-                if actual_next != predicted_next {
-                    if uop.is_cond_branch() {
-                        self.stats.branch_mispredicts += 1;
-                    } else {
-                        self.stats.indirect_mispredicts += 1;
-                    }
-                    self.recover(f.seq, actual_next, Some(cp));
-                }
+            if uop.is_control() && actual_next != predicted_next {
+                let resolved = if uop.is_cond_branch() {
+                    Some(actual_taken)
+                } else {
+                    self.stats.indirect_mispredicts += 1;
+                    None
+                };
+                self.recover(f.seq, actual_next, Some(cp), resolved);
             }
         }
         self.due_scratch = due;
@@ -941,7 +962,7 @@ impl Core {
             self.violation_log.push((load_pc, uop.pc));
             self.stats.memory_violations += 1;
             self.memdep.on_violation(load_pc);
-            self.recover(load_seq - 1, load_pc, None);
+            self.recover(load_seq - 1, load_pc, None, None);
             return true;
         }
         false
@@ -957,11 +978,31 @@ impl Core {
 
     /// Squashes everything younger than `boundary_seq` and refetches
     /// from `new_pc`. This is the mechanism whose cost separates the
-    /// two machines.
-    fn recover(&mut self, boundary_seq: u64, new_pc: u32, ras_cp: Option<RasCheckpoint>) {
+    /// two machines. `resolved` is the outcome of the mispredicted
+    /// conditional branch at `boundary_seq`, if that caused the squash.
+    fn recover(
+        &mut self,
+        boundary_seq: u64,
+        new_pc: u32,
+        ras_cp: Option<RasCheckpoint>,
+        resolved: Option<bool>,
+    ) {
         let front_seq = self.rob.front_seq().unwrap_or(boundary_seq + 1);
         let keep = ((boundary_seq + 1).saturating_sub(front_seq) as usize).min(self.rob.len());
         let n = (self.rob.len() - keep) as u64;
+        // Direction history goes back to what it was before the
+        // mispredicted branch was predicted, plus its outcome; or, for
+        // any other squash, to what it was when the first squashed
+        // instruction was fetched.
+        if let Some(taken) = resolved {
+            let pos = self.rob.hist_pos[self.rob.slot_of(boundary_seq)];
+            self.bp.rewind(pos, Some(taken));
+        } else if keep < self.rob.len() {
+            let pos = self.rob.hist_pos[self.rob.slot_of(front_seq + keep as u64)];
+            self.bp.rewind(pos, None);
+        } else if let Some(front) = self.front_q.front() {
+            self.bp.rewind(front.hist_pos, None);
+        }
         self.stats.squashed += n;
         let squash_begin = front_seq + keep as u64;
         let squash_end = front_seq + self.rob.len() as u64;
@@ -1032,7 +1073,6 @@ impl Core {
         // instead of O(inflight).
         self.lsq.squash_younger(boundary_seq);
         self.front_q.clear();
-        self.bp.recover();
         if let Some(cp) = ras_cp {
             self.ras.restore(cp);
         }
@@ -1152,6 +1192,7 @@ impl Core {
             self.rob.predicted_next[slot] = front.predicted_next;
             self.rob.pred_taken[slot] = front.pred_taken;
             self.rob.ras_cp[slot] = front.ras_cp;
+            self.rob.hist_pos[slot] = front.hist_pos;
             // Subscribe to the wakeup list of each not-yet-ready
             // source; an entry with none gets its ready bit set
             // immediately. Stores watch their base operand only — the
@@ -1185,7 +1226,7 @@ impl Core {
         if self.halted.is_some() || self.fetch_faulted || self.cycle < self.fetch_stall_until {
             return;
         }
-        let capacity = (self.cfg.fetch_width * (self.cfg.frontend_latency + 2)) as usize;
+        let capacity = self.cfg.front_queue_capacity();
         if self.front_q.len() >= capacity {
             return;
         }
@@ -1199,6 +1240,9 @@ impl Core {
             return;
         }
         let delay = if self.cfg.ideal_recovery { 1 } else { u64::from(self.cfg.frontend_latency) };
+        // Each prediction takes the next history position, so the
+        // group reads it once.
+        let mut hist_pos = self.bp.history_pos();
         for _ in 0..self.cfg.fetch_width {
             if self.front_q.len() >= capacity {
                 break;
@@ -1225,8 +1269,10 @@ impl Core {
                 ControlInfo::CondBranch { target } => {
                     let mut taken = self.bp.predict(pc);
                     if self.force_flip_branch {
-                        // Injected fault: invert this prediction.
+                        // Injected fault: invert this prediction (and
+                        // the history it pushed).
                         taken = !taken;
+                        self.bp.rewind(hist_pos, Some(taken));
                         self.force_flip_branch = false;
                     }
                     (if taken { target } else { pc.wrapping_add(4) }, taken)
@@ -1252,7 +1298,11 @@ impl Core {
                 predicted_next,
                 pred_taken,
                 ras_cp,
+                hist_pos,
             });
+            if matches!(info, ControlInfo::CondBranch { .. }) {
+                hist_pos += 1;
+            }
             self.stats.events.fetched += 1;
             if faulted {
                 self.fetch_faulted = true;
@@ -1264,6 +1314,7 @@ impl Core {
                 break; // redirect: next group starts at the target
             }
         }
+        debug_assert_eq!(hist_pos, self.bp.history_pos(), "one history position per prediction");
         if !self.fetch_faulted {
             self.fetch_pc = pc;
         }
@@ -1300,7 +1351,8 @@ impl Core {
         self.mem.fill(0);
         self.image.load_into(&mut self.mem);
         self.hier = Hierarchy::new(self.cfg.hierarchy);
-        self.bp = build(self.cfg.predictor);
+        self.bp = build(self.cfg.predictor, self.cfg.max_in_flight());
+        self.replay_bp = build(self.cfg.predictor, 1);
         self.ras = Ras::new();
         self.memdep = StoreSets::new();
         self.prf.fill(0);

@@ -60,6 +60,9 @@ pub(crate) struct RobSlab {
     pub actual_taken: Box<[bool]>,
     /// RAS checkpoint taken at prediction time.
     pub ras_cp: Box<[RasCheckpoint]>,
+    /// Direction-predictor history position read at fetch (see
+    /// [`crate::predict::DirectionPredictor::rewind`]).
+    pub hist_pos: Box<[u64]>,
     /// Execution-time fault, raised precisely when the entry reaches
     /// the ROB head.
     pub trap: Box<[Option<TrapKind>]>,
@@ -86,6 +89,7 @@ impl RobSlab {
             pred_taken: vec![false; cap].into_boxed_slice(),
             actual_taken: vec![false; cap].into_boxed_slice(),
             ras_cp: vec![RasCheckpoint::default(); cap].into_boxed_slice(),
+            hist_pos: vec![0u64; cap].into_boxed_slice(),
             trap: vec![None; cap].into_boxed_slice(),
             pending: vec![0u8; cap].into_boxed_slice(),
             in_iq: SlotBits::new(cap),

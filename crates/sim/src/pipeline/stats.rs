@@ -66,11 +66,18 @@ pub struct SimStats {
     /// retire path bumps one of these per instruction, so the counter
     /// must be O(1) with no string hashing.
     pub retired_kinds: [u64; KIND_NAMES.len()],
-    /// Conditional branches resolved / mispredicted.
+    /// Retired conditional branches.
     pub branches: u64,
-    /// Mispredicted conditional branches.
+    /// Retired conditional branches whose fetch-time prediction was
+    /// wrong.
     pub branch_mispredicts: u64,
-    /// Indirect-jump mispredicts (wrong RAS/unknown target).
+    /// Retired conditional branches an in-order twin of the direction
+    /// predictor (predict, train, then repair history on a miss, one
+    /// branch at a time) mispredicts: the reference the pipeline's
+    /// rate is held to.
+    pub replay_mispredicts: u64,
+    /// Indirect-jump mispredicts (wrong RAS/unknown target), counted
+    /// when they resolve, wrong path included.
     pub indirect_mispredicts: u64,
     /// Memory-order violations (store-load replays).
     pub memory_violations: u64,
@@ -100,14 +107,24 @@ impl SimStats {
         }
     }
 
-    /// Misprediction rate over conditional branches.
+    /// Mispredicts per retired conditional branch.
     #[must_use]
     pub fn mispredict_rate(&self) -> f64 {
-        if self.branches == 0 {
-            0.0
-        } else {
-            self.branch_mispredicts as f64 / self.branches as f64
-        }
+        ratio(self.branch_mispredicts, self.branches)
+    }
+
+    /// The in-order replay's mispredicts per retired conditional
+    /// branch.
+    #[must_use]
+    pub fn replay_mispredict_rate(&self) -> f64 {
+        ratio(self.replay_mispredicts, self.branches)
+    }
+
+    /// Conditional-branch mispredicts per thousand retired
+    /// instructions.
+    #[must_use]
+    pub fn mpki(&self) -> f64 {
+        1000.0 * ratio(self.branch_mispredicts, self.retired)
     }
 
     /// Bumps a retired-kind counter. `kind` must be one of
@@ -137,6 +154,14 @@ impl SimStats {
             .iter()
             .position(|&k| k == name)
             .map_or(0, |i| self.retired_kinds[i])
+    }
+}
+
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
     }
 }
 
@@ -205,6 +230,10 @@ impl ToJson for SimStats {
             .field("retired_kinds", &kinds)
             .field("branches", &self.branches)
             .field("branch_mispredicts", &self.branch_mispredicts)
+            .field("mispredict_rate", &self.mispredict_rate())
+            .field("mpki", &self.mpki())
+            .field("replay_mispredicts", &self.replay_mispredicts)
+            .field("replay_mispredict_rate", &self.replay_mispredict_rate())
             .field("indirect_mispredicts", &self.indirect_mispredicts)
             .field("memory_violations", &self.memory_violations)
             .field("squashed", &self.squashed)
@@ -227,12 +256,13 @@ impl FromJson for SimStats {
             })?;
             retired_kinds[slot] = count;
         }
-        Ok(SimStats {
+        let stats = SimStats {
             cycles: read_field(value, "cycles")?,
             retired: read_field(value, "retired")?,
             retired_kinds,
             branches: read_field(value, "branches")?,
             branch_mispredicts: read_field(value, "branch_mispredicts")?,
+            replay_mispredicts: read_field(value, "replay_mispredicts")?,
             indirect_mispredicts: read_field(value, "indirect_mispredicts")?,
             memory_violations: read_field(value, "memory_violations")?,
             squashed: read_field(value, "squashed")?,
@@ -241,7 +271,47 @@ impl FromJson for SimStats {
             backpressure_stall_cycles: read_field(value, "backpressure_stall_cycles")?,
             events: read_field(value, "events")?,
             mem: read_field(value, "mem")?,
-        })
+        };
+        stats.check_branch_fields(value)?;
+        Ok(stats)
+    }
+}
+
+impl SimStats {
+    /// Rejects branch counters that cannot come from one run, and
+    /// derived rates that disagree with the counters they derive from.
+    fn check_branch_fields(&self, value: &Json) -> Result<(), JsonError> {
+        let counts = [
+            ("branch_mispredicts", self.branch_mispredicts),
+            ("replay_mispredicts", self.replay_mispredicts),
+        ];
+        for (name, count) in counts {
+            if count > self.branches {
+                return Err(JsonError::Shape(format!(
+                    "{name} {count} exceeds the {} retired branches",
+                    self.branches
+                )));
+            }
+        }
+        if self.branches > self.retired {
+            return Err(JsonError::Shape(format!(
+                "{} retired branches exceed the {} retired instructions",
+                self.branches, self.retired
+            )));
+        }
+        for (name, expected) in [
+            ("mispredict_rate", self.mispredict_rate()),
+            ("mpki", self.mpki()),
+            ("replay_mispredict_rate", self.replay_mispredict_rate()),
+        ] {
+            let stored: f64 = read_field(value, name)?;
+            if (stored - expected).abs() > 1e-9 * expected.abs().max(1.0) {
+                return Err(JsonError::Shape(format!(
+                    "field `{name}` is {stored}, but its counters give {expected}"
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -358,8 +428,11 @@ mod tests {
         }
         s.branches = 10;
         s.branch_mispredicts = 3;
+        s.replay_mispredicts = 1;
         assert!((s.ipc() - 1.5).abs() < 1e-9);
         assert!((s.mispredict_rate() - 0.3).abs() < 1e-9);
+        assert!((s.replay_mispredict_rate() - 0.1).abs() < 1e-9);
+        assert!((s.mpki() - 20.0).abs() < 1e-9);
         assert_eq!(s.kind_count("alu"), 150);
         assert_eq!(s.kind_count("ld"), 0);
     }

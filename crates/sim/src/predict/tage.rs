@@ -12,7 +12,7 @@
 //! The registers hold exactly the chunked XOR fold of the history (see
 //! [`Fold`]), so lookups never walk the history bits.
 
-use super::DirectionPredictor;
+use super::{DirectionPredictor, HistoryRing, DEFAULT_IN_FLIGHT};
 
 const NUM_TAGGED: usize = 7;
 const HIST_LENGTHS: [u32; NUM_TAGGED] = [5, 9, 15, 25, 44, 76, 130];
@@ -137,14 +137,17 @@ impl History {
 /// Table index and partial tag of one branch in every tagged component.
 type Slots = [(usize, u16); NUM_TAGGED];
 
-/// The TAGE predictor with speculative global history and squash
-/// repair.
+/// The TAGE predictor with speculative global history and per-branch
+/// history repair.
 #[derive(Debug)]
 pub struct Tage {
     base: Vec<u8>,
     tagged: Vec<[TaggedEntry; 1 << TAGGED_BITS]>,
+    /// Retired history, which training uses.
     history: History,
     spec_history: History,
+    /// `spec_history` before each prediction in flight.
+    ring: HistoryRing<History>,
     /// Deterministic LFSR for the allocation tie-breaking.
     rng: u32,
     /// Periodic useful-bit reset counter.
@@ -152,14 +155,23 @@ pub struct Tage {
 }
 
 impl Tage {
-    /// Builds an empty predictor.
+    /// Builds an empty predictor with room for a few dozen predictions
+    /// in flight.
     #[must_use]
     pub fn new() -> Tage {
+        Tage::with_in_flight(DEFAULT_IN_FLIGHT)
+    }
+
+    /// As [`Tage::new`], keeping up to `in_flight` predictions in
+    /// flight.
+    #[must_use]
+    pub fn with_in_flight(in_flight: usize) -> Tage {
         Tage {
             base: vec![1; 1 << BASE_BITS],
             tagged: vec![[TaggedEntry::default(); 1 << TAGGED_BITS]; NUM_TAGGED],
             history: History::default(),
             spec_history: History::default(),
+            ring: HistoryRing::new(in_flight),
             rng: 0x1234_5678,
             tick: 0,
         }
@@ -223,6 +235,7 @@ impl DirectionPredictor for Tage {
     fn predict(&mut self, pc: u32) -> bool {
         let slots = Self::slots(pc, &self.spec_history);
         let (_, pred, _) = self.lookup(pc, &slots);
+        self.ring.push(self.spec_history);
         self.spec_history.push(pred);
         pred
     }
@@ -288,10 +301,31 @@ impl DirectionPredictor for Tage {
             }
         }
         self.history.push(taken);
+        self.ring.retire();
     }
 
     fn recover(&mut self) {
         self.spec_history = self.history;
+        self.ring.clear();
+    }
+
+    fn history_pos(&self) -> u64 {
+        self.ring.next
+    }
+
+    fn predicted_with_retired_history(&self, pos: u64) -> bool {
+        self.ring.get(pos) == Some(self.history)
+    }
+
+    fn rewind(&mut self, pos: u64, outcome: Option<bool>) {
+        if let Some(history) = self.ring.rewind(pos) {
+            self.spec_history = history;
+        }
+        if let Some(taken) = outcome {
+            // The resolved branch keeps its position and checkpoint.
+            self.ring.push(self.spec_history);
+            self.spec_history.push(taken);
+        }
     }
 }
 
@@ -339,9 +373,55 @@ mod tests {
         let mut t = Tage::new();
         let p = t.predict(0x100);
         let _ = t.predict(0x104);
+        t.update(0x100, !p, p);
         t.recover();
         assert_eq!(t.spec_history, t.history);
-        t.update(0x100, p, p);
+        assert_eq!(t.history_pos(), 1, "the next prediction reuses the discarded position");
+        let before = t.spec_history;
+        let _ = t.predict(0x104);
+        assert_eq!(t.ring.slots[t.ring.slot(1)], before);
+    }
+
+    #[test]
+    fn rewind_restores_the_checkpoint_and_pushes_the_outcome() {
+        let mut t = Tage::new();
+        let _ = t.predict(0x100);
+        let before = t.spec_history;
+        let p = t.predict(0x104);
+        let _ = t.predict(0x108);
+        t.rewind(1, Some(!p));
+        let mut expected = before;
+        expected.push(!p);
+        assert_eq!(t.spec_history, expected);
+        assert_eq!(t.history_pos(), 2);
+        // A non-branch rewind to a position before any prediction
+        // restores that checkpoint; to the next position, nothing.
+        t.rewind(2, None);
+        assert_eq!(t.spec_history, expected);
+        t.rewind(1, None);
+        assert_eq!(t.spec_history, before);
+    }
+
+    #[test]
+    fn rewinds_keep_each_branch_checkpoint_equal_to_the_retired_history() {
+        for depth in [1, 2, 8, 64] {
+            let mut t = Tage::new();
+            let counts = crate::predict::repair_model::drive(&mut t, depth);
+            assert!(counts.retired_branches > 15_000, "{counts:?}");
+            if depth > 1 {
+                assert!(counts.branch_rewinds > 1_000 && counts.other_rewinds > 500, "{counts:?}");
+                assert_eq!(counts.max_in_flight, depth, "{counts:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow a history ring")]
+    fn more_predictions_in_flight_than_the_ring_holds_panic() {
+        let mut t = Tage::with_in_flight(4);
+        for i in 0..5 {
+            let _ = t.predict(0x100 + 4 * i);
+        }
     }
 
     /// The bit-serial fold the incremental registers must reproduce:
@@ -485,7 +565,7 @@ mod tests {
         }
     }
 
-    impl DirectionPredictor for VecTage {
+    impl VecTage {
         fn predict(&mut self, pc: u32) -> bool {
             let (_, pred, _) = self.lookup(pc, &self.spec_history.clone());
             Self::push_history(&mut self.spec_history, pred);
@@ -559,6 +639,13 @@ mod tests {
         fn recover(&mut self) {
             self.spec_history = self.history.clone();
         }
+
+        /// Restores the speculative history a branch was predicted with
+        /// and pushes its outcome.
+        fn rewind(&mut self, snapshot: &[bool], taken: bool) {
+            self.spec_history = snapshot.to_vec();
+            Self::push_history(&mut self.spec_history, taken);
+        }
     }
 
     /// A synthetic program's retired branch stream: static branches
@@ -591,6 +678,8 @@ mod tests {
     fn matches_the_vec_history_predictor_with_branches_in_flight() {
         struct InFlight {
             pos: usize,
+            hist_pos: u64,
+            snapshot: Vec<bool>,
             pred: bool,
             resolved: bool,
         }
@@ -605,9 +694,16 @@ mod tests {
             let depth = 1 + rng.below(8) as usize;
             while fetch < stream.len() && in_flight.len() < depth {
                 let pc = stream[fetch].0;
+                let (hist_pos, snapshot) = (packed.history_pos(), reference.spec_history.clone());
                 let pred = packed.predict(pc);
                 assert_eq!(pred, reference.predict(pc), "prediction {fetch} diverged");
-                in_flight.push_back(InFlight { pos: fetch, pred, resolved: false });
+                in_flight.push_back(InFlight {
+                    pos: fetch,
+                    hist_pos,
+                    snapshot,
+                    pred,
+                    resolved: false,
+                });
                 fetch += 1;
             }
             // Sometimes a mispredicted branch resolves before it
@@ -616,10 +712,11 @@ mod tests {
                 let wrong = in_flight.iter().position(|b| !b.resolved && b.pred != stream[b.pos].1);
                 if let Some(k) = wrong {
                     in_flight.truncate(k + 1);
-                    in_flight[k].resolved = true;
-                    fetch = in_flight[k].pos + 1;
-                    packed.recover();
-                    reference.recover();
+                    let b = &mut in_flight[k];
+                    b.resolved = true;
+                    fetch = b.pos + 1;
+                    packed.rewind(b.hist_pos, Some(!b.pred));
+                    reference.rewind(&b.snapshot, !b.pred);
                     early_recoveries += 1;
                 }
             }
@@ -632,12 +729,15 @@ mod tests {
             updates += 1;
             if b.pred != taken {
                 mispredicts += 1;
+                // Resolved early, the branch already repaired history;
+                // otherwise it squashes everything younger, and with
+                // nothing left in flight `recover` is exact.
                 if !b.resolved {
                     in_flight.clear();
                     fetch = b.pos + 1;
+                    packed.recover();
+                    reference.recover();
                 }
-                packed.recover();
-                reference.recover();
             }
         }
         assert!(updates > 256 * 1024, "useful-bit aging not reached: {updates} updates");

@@ -38,6 +38,8 @@ fn synthetic_result() -> ExperimentResult {
         stats.bump_kind("alu");
     }
     stats.bump_kind("jump+branch");
+    stats.branches = 1;
+    stats.branch_mispredicts = 1;
     stats.events.rmt_reads = 42;
     stats.mem.l1d = (100, 7);
     ExperimentResult {
@@ -82,6 +84,58 @@ fn synthetic_record_roundtrips_through_json() {
     // And a second serialization is byte-identical (deterministic key
     // order).
     assert_eq!(reparsed.to_json().render_pretty(), text);
+}
+
+/// Replaces `key` in the stats object of every cell of a serialized
+/// result.
+fn set_stats_field(result: &mut Json, key: &str, value: Json) {
+    let Json::Obj(fields) = result else { panic!("a result is an object") };
+    let (_, Json::Arr(cells)) = fields.iter_mut().find(|(k, _)| k == "cells").unwrap() else {
+        panic!("cells is an array")
+    };
+    for cell in cells {
+        let Json::Obj(cell) = cell else { panic!("a cell is an object") };
+        let (_, Json::Obj(stats)) = cell.iter_mut().find(|(k, _)| k == "stats").unwrap() else {
+            panic!("the synthetic cell carries stats")
+        };
+        stats.iter_mut().find(|(k, _)| k == key).unwrap().1 = value.clone();
+    }
+}
+
+#[test]
+fn records_carry_branch_rates_and_validation_checks_them() {
+    let original = synthetic_result();
+    let json = original.to_json();
+    let stats = json.get("cells").and_then(|c| match c {
+        Json::Arr(cells) => cells[0].get("stats"),
+        _ => None,
+    });
+    let stats = stats.expect("the synthetic cell carries stats");
+    let rate = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap();
+    assert_eq!(rate("mispredict_rate"), 1.0);
+    assert!((rate("mpki") - 1000.0 / 151.0).abs() < 1e-9);
+    assert_eq!(rate("replay_mispredict_rate"), 0.0);
+
+    let dir = std::env::temp_dir().join(format!("straight_lab_rates_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("BENCH_synthetic.json");
+    std::fs::write(&path, json.render_pretty()).unwrap();
+    assert_eq!(validate_file(&path).unwrap(), original);
+    // A derived rate that disagrees with its counters, or counters no
+    // run can produce, fail validation.
+    let tampered: [(&str, Json); 3] = [
+        ("mpki", Json::Num(1.0)),
+        ("replay_mispredicts", Json::Num(2.0)),
+        ("branches", Json::Num(1000.0)),
+    ];
+    for (key, value) in tampered {
+        let mut bad = json.clone();
+        set_stats_field(&mut bad, key, value);
+        std::fs::write(&path, bad.render_pretty()).unwrap();
+        let err = validate_file(&path).expect_err(key);
+        assert!(err.to_string().contains("stats"), "{key}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -182,3 +182,46 @@ fn straight_recovers_faster_than_ss_on_branchy_code() {
         rv.stats.recovery_stall_cycles
     );
 }
+
+/// Stores whose address waits on a divide, each followed by a load of
+/// the same word that issues first: memory-order violations squash
+/// and refetch from the load, rewinding branch history to the load's
+/// position (debug builds assert at every retired branch that it was
+/// predicted with the retired history).
+#[test]
+fn memory_order_violations_replay_exactly() {
+    let src = "int a[64];
+         int main() {
+             int s = 0;
+             int i;
+             for (i = 0; i < 300; i++) {
+                 a[((i * 13 + 7) / 13) % 64] = i;
+                 int v = a[i % 64];
+                 if (v & 1) s += v; else s -= 1;
+                 a[((i * 11 + 3) / 11 + 1) % 64] = s;
+                 int w = a[(i + 1) % 64];
+                 if ((w + i) % 5 == 1) s += 3;
+                 a[((i * 7 + 5) / 7 + 2) % 64] = w;
+                 s += a[(i + 2) % 64] & 7;
+             }
+             print_int(s);
+             return 0;
+         }";
+    let module = build_ir(src);
+    let expected = run_interp(&module);
+    let opts = StraightOptions::default().with_max_distance(31);
+    let mut violations = 0;
+    for (image, cfg) in [
+        (build_riscv(&module), MachineConfig::ss_2way()),
+        (build_riscv(&module), MachineConfig::ss_4way()),
+        (build_straight(&module, &opts), MachineConfig::straight_2way()),
+        (build_straight(&module, &opts), MachineConfig::straight_4way()),
+    ] {
+        let name = cfg.name.clone();
+        let r = simulate(image, cfg.with_sanitizer(), MAX_CYCLES).unwrap();
+        assert_eq!(r.exit_code, Some(expected.exit_code), "{name}: exit code");
+        assert_eq!(r.stdout, expected.stdout, "{name}: stdout");
+        violations += r.stats.memory_violations;
+    }
+    assert!(violations >= 4, "only {violations} memory-order violations");
+}
